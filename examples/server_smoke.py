@@ -4,8 +4,9 @@ Two phases:
 
 1. **Real process boundary** — spawn ``python -m repro.cli serve`` as a
    subprocess, wait for its listening banner, run a pipelined client
-   session (PUT/GET/SCAN/BATCH/DELETE/INFO) against it, then SIGINT it
-   and assert a clean, orderly shutdown (exit code 0).
+   session (PUT/GET/SCAN/BATCH/DELETE/INFO) against it, check that the
+   idle server burns almost no CPU (where ``/proc`` exists), then SIGINT
+   it and assert a clean, orderly shutdown (exit code 0).
 2. **BUSY retry path** — an in-process server whose tree is forced to
    report the write-stop backpressure state for the first few admission
    checks; the client's exponential-backoff retry must absorb the BUSY
@@ -63,6 +64,35 @@ async def pipelined_session(port: int, shards: int) -> None:
     print(f"pipelined round-trip ({shards} shard(s)): ok")
 
 
+#: The largest share of one core an idle ``serve --background`` may use. Idle
+#: background workers park until kicked, so the real figure is close to zero.
+IDLE_CPU_LIMIT = 0.20
+
+
+def cpu_seconds(pid: int) -> float:
+    """User + system CPU seconds of ``pid``, from ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat", "r", encoding="ascii") as handle:
+        # Fields after the parenthesised command name start at field 3;
+        # utime and stime are fields 14 and 15 (proc(5)).
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def check_idle_cpu(pid: int, seconds: float = 2.0) -> None:
+    """Fail if the server uses over IDLE_CPU_LIMIT of a core while idle."""
+    if not os.path.exists(f"/proc/{pid}/stat"):
+        print("idle CPU check: skipped (no /proc)")
+        return
+    before = cpu_seconds(pid)
+    time.sleep(seconds)
+    fraction = (cpu_seconds(pid) - before) / seconds
+    assert fraction <= IDLE_CPU_LIMIT, (
+        f"idle server used {fraction:.0%} of a core "
+        f"(limit {IDLE_CPU_LIMIT:.0%})"
+    )
+    print(f"idle CPU: {fraction:.1%} of a core: ok")
+
+
 def subprocess_server_phase(shards: int) -> None:
     """Start the CLI server, drive it, SIGINT it, assert clean shutdown."""
     env = dict(os.environ)
@@ -85,6 +115,7 @@ def subprocess_server_phase(shards: int) -> None:
         assert "listening on" in banner, f"unexpected banner: {banner!r}"
         port = int(banner.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
         asyncio.run(pipelined_session(port, shards))
+        check_idle_cpu(process.pid)
     finally:
         process.send_signal(signal.SIGINT)
         try:

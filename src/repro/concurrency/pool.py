@@ -1,12 +1,25 @@
-"""A small pool of background worker threads with cooperative scheduling.
+"""A small pool of background worker threads with event-driven wakeups.
 
 Workers repeatedly call a *step* function that performs one unit of work
 (claim-and-flush one buffer, plan-and-run one compaction) and reports
-whether any work was available. Idle workers park on a condition variable
-until :meth:`BackgroundWorkerPool.kick` announces new work; a short wait
-timeout backstops missed wakeups. Exceptions escaping a step are captured —
+whether any work was available. Exceptions escaping a step are captured —
 never propagated into the thread — so the owning tree can surface them on
 the next foreground operation (see :class:`~repro.errors.BackgroundError`).
+
+Wakeup contract. A worker steps again only if its last step did work, or
+if :meth:`BackgroundWorkerPool.kick` was called since the worker last
+looked; otherwise it parks. Whoever makes work available kicks: the
+coordinator does on every buffer rotation, after every flush install and
+compaction, and while a writer is stalled or a drain is waiting. Idle
+steps never kick, so idle workers cannot wake one another.
+
+The check is a generation counter: :meth:`kick` bumps it under the pool's
+condition, a worker reads it before each step, and parks after an idle
+step only if it is unchanged. A kick that lands *while* a worker is inside
+an idle step therefore makes that worker step again instead of being
+lost. Parked workers still re-step every :data:`IDLE_BACKSTOP_S` seconds;
+that backstop exists only for work that becomes due with nobody to kick,
+such as a Lethe tombstone TTL expiring as the simulated clock advances.
 """
 
 from __future__ import annotations
@@ -14,9 +27,10 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional
 
-#: Seconds an idle worker sleeps before re-polling, as a missed-wakeup
-#: backstop; real wakeups come from :meth:`BackgroundWorkerPool.kick`.
-IDLE_WAIT_S = 0.02
+#: Seconds a parked worker waits before stepping anyway. Catches work that
+#: becomes due without a kick (tombstone TTLs); real wakeups come from
+#: :meth:`BackgroundWorkerPool.kick`.
+IDLE_BACKSTOP_S = 1.0
 
 #: A unit of background work: returns True if it found work to do.
 WorkStep = Callable[[], bool]
@@ -38,6 +52,7 @@ class BackgroundWorkerPool:
         self._stopped = False
         self._paused = False
         self._active_workers = 0
+        self._generation = 0
         self._errors: List[BaseException] = []
 
     # -- lifecycle ----------------------------------------------------------
@@ -66,8 +81,9 @@ class BackgroundWorkerPool:
     # -- coordination -------------------------------------------------------
 
     def kick(self) -> None:
-        """Wake idle workers: new work may be available."""
+        """Announce that new work may be available: every worker re-steps."""
         with self._cv:
+            self._generation += 1
             self._cv.notify_all()
 
     def inject_failure(self, exc: BaseException) -> None:
@@ -90,7 +106,7 @@ class BackgroundWorkerPool:
             self._paused = True
 
     def resume(self) -> None:
-        """Undo :meth:`pause`."""
+        """Undo :meth:`pause`; every worker steps at least once more."""
         with self._cv:
             self._paused = False
             self._cv.notify_all()
@@ -116,18 +132,16 @@ class BackgroundWorkerPool:
                 if self._stopped:
                     return
                 self._active_workers += 1
+                seen = self._generation
             did_work = False
             try:
                 did_work = step()
             except BaseException as exc:  # surfaced via first_error
                 with self._cv:
                     self._errors.append(exc)
-            finally:
-                with self._cv:
-                    self._active_workers -= 1
-                    self._cv.notify_all()
-            if not did_work:
-                with self._cv:
-                    if self._stopped:
-                        return
-                    self._cv.wait(IDLE_WAIT_S)
+            with self._cv:
+                self._active_workers -= 1
+                if self._stopped:
+                    return
+                if not did_work and self._generation == seen:
+                    self._cv.wait(IDLE_BACKSTOP_S)

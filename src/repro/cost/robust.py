@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from scipy.optimize import minimize_scalar
-
 from .model import CostModel, SystemEnv, Tuning, WorkloadMix
 from .navigator import Navigator, candidate_tunings
 
@@ -76,6 +74,10 @@ def worst_case_cost(
             sum(r * math.exp((c - peak) / lam) for r, c in supported)
         )
         return lam * eta + peak + lam * log_sum
+
+    # Imported here, not at module level: the tree imports this module, and
+    # serving processes should not pay scipy's import time and memory.
+    from scipy.optimize import minimize_scalar
 
     result = minimize_scalar(
         dual, bounds=(math.log(1e-6 * peak + 1e-12), math.log(1e6 * peak + 1e-6)),

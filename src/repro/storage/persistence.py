@@ -321,6 +321,10 @@ def restore(
             if tables:
                 level.add_run_oldest(SortedRun(tables))
         tree.levels.append(level)
+    if tree._background is not None:
+        # The restored levels may already be due for compaction, and no
+        # write has announced them to the workers yet.
+        tree._background.pool.kick()
     return tree
 
 

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -224,3 +229,18 @@ class TestCommands:
                 ["tune", "--reads", "0.9", "--empty-reads", "0.9",
                  "--scans", "0.0", "--writes", "0.9"]
             )
+
+
+class TestImportFootprint:
+    def test_cli_import_does_not_load_scipy(self):
+        # Serving processes import repro.cli; scipy is only needed by the
+        # robust tuner and must stay out of their startup time and RSS.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"

@@ -6,12 +6,16 @@ work, backpressure accounting, WAL recovery of unflushed buffers, and the
 RocksDB-style background-error contract.
 """
 
+import collections
 import random
+import sys
 import threading
+import time
 
 import pytest
 
 from repro import LSMConfig, LSMTree
+from repro.concurrency.pool import IDLE_BACKSTOP_S, BackgroundWorkerPool
 from repro.errors import BackgroundError, ClosedError
 
 
@@ -244,3 +248,149 @@ class TestBackgroundErrors:
         with pytest.raises(BackgroundError):
             tree.close()
         assert tree._closed
+
+
+class TestWorkerPoolWakeups:
+    """The pool's wakeup contract: idle workers park, kicks are never lost."""
+
+    def test_idle_workers_do_not_wake_each_other(self):
+        calls = collections.Counter()
+
+        def idle_step():
+            calls[threading.current_thread().name] += 1
+            return False
+
+        pool = BackgroundWorkerPool()
+        pool.spawn("flush", 2, idle_step)
+        pool.spawn("compact", 2, idle_step)
+        try:
+            time.sleep(0.5)
+        finally:
+            pool.stop()
+        assert len(calls) == 4
+        # One initial step each, plus at most a backstop re-step.
+        assert max(calls.values()) <= 3, dict(calls)
+
+    def test_kick_during_idle_step_is_not_lost(self):
+        inside = threading.Event()
+        release = threading.Event()
+        stepped_again = threading.Event()
+        calls = []
+
+        def step():
+            calls.append(time.perf_counter())
+            if len(calls) == 1:
+                inside.set()
+                release.wait()
+            else:
+                stepped_again.set()
+            return False
+
+        pool = BackgroundWorkerPool()
+        pool.spawn("flush", 1, step)
+        try:
+            assert inside.wait(5)
+            pool.kick()  # lands while the worker is inside its idle step
+            release.set()
+            assert 0.1 < IDLE_BACKSTOP_S  # so only the kick can explain it
+            assert stepped_again.wait(0.1)
+        finally:
+            pool.stop()
+
+    def test_no_lost_wakeup_under_thread_churn(self):
+        # More workers than cores and a tiny switch interval, so kicks land
+        # at every point of the idle steps; each job must be taken well
+        # before the backstop would run it.
+        queue = []
+        lock = threading.Lock()
+
+        def step():
+            with lock:
+                job = queue.pop() if queue else None
+            if job is None:
+                time.sleep(0.001)  # an idle step takes time: plan, unlock
+                return False
+            return True
+
+        pool = BackgroundWorkerPool()
+        pool.spawn("flush", 3, step)
+        pool.spawn("compact", 3, step)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(300):
+                with lock:
+                    queue.append("job")
+                pool.kick()
+                deadline = time.perf_counter() + IDLE_BACKSTOP_S / 2
+                while queue and time.perf_counter() < deadline:
+                    time.sleep(0.0005)
+                assert not queue, "a kick was lost"
+        finally:
+            sys.setswitchinterval(interval)
+            pool.stop()
+
+    def test_kick_while_paused_is_honoured_after_resume(self):
+        pending = []
+        done = []
+        parked = threading.Event()
+
+        def step():
+            if pending:
+                done.append(pending.pop())
+                return True
+            parked.set()
+            return False
+
+        pool = BackgroundWorkerPool()
+        pool.spawn("compact", 1, step)
+        try:
+            assert parked.wait(5)
+            pool.pause()
+            pending.append("job")
+            pool.kick()
+            time.sleep(0.05)
+            assert done == []  # paused workers do not step
+            pool.resume()
+            deadline = time.perf_counter() + 0.1
+            while not done and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            assert done == ["job"]
+        finally:
+            pool.stop()
+
+    def test_backstop_compacts_expired_tombstones_without_writes(self):
+        tree = LSMTree(bg_config(tombstone_ttl_us=1_000_000.0))
+        try:
+            for i in range(2000):
+                tree.put(f"key{i:06d}", f"value-{i}")
+            tree.flush()
+            tree._background.drain()
+            # A few deletes flush into Level 0, above the data they shadow.
+            for i in range(0, 300, 3):
+                tree.delete(f"key{i:06d}")
+            tree.flush()
+            tree._background.drain()
+
+            def tombstone_tables():
+                with tree._background.manifest_lock:
+                    return [
+                        table
+                        for level in tree.levels
+                        for run in level.runs
+                        for table in run.tables
+                        if table.oldest_tombstone_us is not None
+                    ]
+
+            assert tombstone_tables()  # not expired yet, so still present
+            # Simulated time passes with no write and no kick: only the
+            # idle backstop can notice that the TTL has expired.
+            tree.disk.advance(2_000_000.0)
+            deadline = time.perf_counter() + 5 * IDLE_BACKSTOP_S
+            while tombstone_tables() and time.perf_counter() < deadline:
+                time.sleep(0.05)
+            assert not tombstone_tables()
+            assert tree.get("key000003") is None
+            assert tree.get("key000004") == "value-4"
+        finally:
+            tree.close()
