@@ -1,13 +1,16 @@
 """End-to-end smoke test of the serving layer (run by CI).
 
-Two phases:
+Three phases:
 
 1. **Real process boundary** — spawn ``python -m repro.cli serve`` as a
-   subprocess, wait for its listening banner, run a pipelined client
-   session (PUT/GET/SCAN/BATCH/DELETE/INFO) against it, check that the
-   idle server burns almost no CPU (where ``/proc`` exists), then SIGINT
-   it and assert a clean, orderly shutdown (exit code 0).
-2. **BUSY retry path** — an in-process server whose tree is forced to
+   subprocess over a fresh ``--wal-dir``, wait for its listening banner,
+   run a pipelined client session (PUT/GET/SCAN/BATCH/DELETE/INFO)
+   against it, check that the idle server burns almost no CPU (where
+   ``/proc`` exists), then SIGINT it and assert a clean, orderly shutdown
+   (exit code 0).
+2. **Restart** — start ``serve`` again on the same ``--wal-dir`` and read
+   every acknowledged write of phase 1 back (the WAL is replayed).
+3. **BUSY retry path** — an in-process server whose tree is forced to
    report the write-stop backpressure state for the first few admission
    checks; the client's exponential-backoff retry must absorb the BUSY
    replies and land the write.
@@ -23,6 +26,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -93,8 +97,28 @@ def check_idle_cpu(pid: int, seconds: float = 2.0) -> None:
     print(f"idle CPU: {fraction:.1%} of a core: ok")
 
 
-def subprocess_server_phase(shards: int) -> None:
-    """Start the CLI server, drive it, SIGINT it, assert clean shutdown."""
+#: What the pipelined session leaves acknowledged: user0000 and user0001
+#: deleted, the other profiles and the batch key written.
+ACKED = {
+    **{f"user{i:04d}": f"profile-{i}" for i in range(2, 40)},
+    "user0000": None,
+    "user0001": None,
+    "batch-a": "1",
+}
+
+
+async def read_back_session(port: int) -> None:
+    """Every write the first server acknowledged reads back after restart."""
+    async with await KVClient.connect("127.0.0.1", port) as kv:
+        keys = list(ACKED)
+        values = await asyncio.gather(*(kv.get(key) for key in keys))
+        assert dict(zip(keys, values)) == ACKED, "acked writes lost"
+    print(f"restart read-back: {len(ACKED)} acked keys: ok")
+
+
+def run_server(shards: int, wal_dir: str, drive) -> None:
+    """Start the CLI server on ``wal_dir``, ``drive(pid, port)`` it, then
+    SIGINT it and assert a clean shutdown."""
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         os.path.join(REPO_ROOT, "src")
@@ -103,7 +127,7 @@ def subprocess_server_phase(shards: int) -> None:
     )
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--background", "--shards", str(shards)],
+         "--background", "--shards", str(shards), "--wal-dir", wal_dir],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -114,8 +138,7 @@ def subprocess_server_phase(shards: int) -> None:
         banner = process.stdout.readline()
         assert "listening on" in banner, f"unexpected banner: {banner!r}"
         port = int(banner.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
-        asyncio.run(pipelined_session(port, shards))
-        check_idle_cpu(process.pid)
+        drive(process.pid, port)
     finally:
         process.send_signal(signal.SIGINT)
         try:
@@ -128,7 +151,22 @@ def subprocess_server_phase(shards: int) -> None:
         f"server exited {process.returncode}; output: {output}"
     )
     assert "shutting down" in output
+
+
+def subprocess_server_phase(shards: int, wal_dir: str) -> None:
+    """Drive a fresh server, then restart it on the same WAL directory."""
+
+    def first(pid: int, port: int) -> None:
+        asyncio.run(pipelined_session(port, shards))
+        check_idle_cpu(pid)
+
+    def second(_pid: int, port: int) -> None:
+        asyncio.run(read_back_session(port))
+
+    run_server(shards, wal_dir, first)
     print("subprocess serve + SIGINT shutdown: ok")
+    run_server(shards, wal_dir, second)
+    print("restart on the same --wal-dir: ok")
 
 
 async def busy_retry_phase() -> None:
@@ -169,7 +207,8 @@ def main() -> int:
     )
     args = parser.parse_args()
     started = time.perf_counter()
-    subprocess_server_phase(args.shards)
+    with tempfile.TemporaryDirectory(prefix="repro-smoke-") as wal_dir:
+        subprocess_server_phase(args.shards, wal_dir)
     asyncio.run(busy_retry_phase())
     print(f"server smoke passed in {time.perf_counter() - started:.1f}s")
     return 0

@@ -208,8 +208,32 @@ def command_layouts(args: argparse.Namespace) -> int:
     return 0
 
 
+def _recorded_shards(layout_dir: Optional[str]) -> Optional[int]:
+    """Shard count an existing ``serve`` directory was written with;
+    ``None`` for a missing or empty one."""
+    import os
+
+    from .shard.store import MANIFEST_NAME, read_manifest
+
+    if layout_dir is None or not os.path.isdir(layout_dir):
+        return None
+    if os.path.exists(os.path.join(layout_dir, MANIFEST_NAME)):
+        return int(read_manifest(layout_dir)["num_shards"])  # type: ignore[arg-type]
+    names = os.listdir(layout_dir)
+    if any(n.startswith("wal.") and n.endswith(".log") for n in names):
+        return 1  # a single tree's WAL segments
+    return None
+
+
 def command_serve(args: argparse.Namespace) -> int:
-    """Run the asyncio KV server until SIGINT/SIGTERM (clean shutdown)."""
+    """Run the asyncio KV server until SIGINT/SIGTERM (clean shutdown).
+
+    An existing ``--wal-dir`` is recovered (its WAL replayed) rather than
+    reopened empty; a ``--shards`` value contradicting the directory is
+    refused.
+    """
+    import os
+
     from .api import KVStore
     from .core.config import LSMConfig
     from .server import KVServer, maybe_install_uvloop
@@ -217,6 +241,8 @@ def command_serve(args: argparse.Namespace) -> int:
 
     if args.shards < 1:
         raise SystemExit("--shards must be at least 1")
+    if args.replication != "off" and args.wal_dir is None:
+        raise SystemExit("--replication needs --wal-dir")
     if maybe_install_uvloop(True if args.uvloop else None):
         print("repro-server: uvloop event loop enabled", flush=True)
     elif args.uvloop:
@@ -229,20 +255,40 @@ def command_serve(args: argparse.Namespace) -> int:
         compaction_threads=args.compaction_threads,
         wal_fsync=args.wal_fsync,
     )
+    layout_dir = args.wal_dir
+    if args.replication != "off":
+        from .replication.store import PRIMARY_DIR
+
+        layout_dir = os.path.join(args.wal_dir, PRIMARY_DIR)
+    recorded = _recorded_shards(layout_dir)
+    if recorded is not None and recorded != args.shards:
+        raise SystemExit(
+            f"--shards {args.shards} contradicts {args.wal_dir}, which "
+            f"holds {recorded} shard(s); restart with --shards {recorded} "
+            "or use a fresh --wal-dir"
+        )
     store: KVStore
     if args.replication != "off":
-        if args.wal_dir is None:
-            raise SystemExit("--replication needs --wal-dir")
         from .replication import ReplicatedStore
 
-        store = ReplicatedStore(
-            args.shards,
-            config,
-            mode=args.replication,
-            wal_dir=args.wal_dir,
-        )
+        if recorded is not None:
+            store = ReplicatedStore.recover(
+                config, args.wal_dir, mode=args.replication
+            )
+        else:
+            store = ReplicatedStore(
+                args.shards,
+                config,
+                mode=args.replication,
+                wal_dir=args.wal_dir,
+            )
     elif args.shards > 1:
-        store = ShardedStore(args.shards, config, wal_dir=args.wal_dir)
+        if recorded is not None:
+            store = ShardedStore.recover(config, args.wal_dir)
+        else:
+            store = ShardedStore(args.shards, config, wal_dir=args.wal_dir)
+    elif recorded is not None:
+        store = LSMTree.recover(config, args.wal_dir)
     else:
         store = LSMTree(config, wal_dir=args.wal_dir)
     server = KVServer(

@@ -96,10 +96,10 @@ from ..errors import (
     ShardMovedError,
 )
 from ..faults.registry import fault_point
-from ..replication.store import entries_to_batch_ops
 from ..server.client import KVClient
 from ..server.protocol import BatchOp, ProtocolError, decode_batch, encode_batch
 from ..server.server import KVServer
+from ..shard.store import entries_to_batch_ops
 from .map import ClusterMap, NodeInfo
 from .store import SNAPSHOT_CHUNK, NodeStore
 

@@ -1,16 +1,16 @@
 """One cluster node's engine: the shards the map assigns it, nothing else.
 
-:class:`NodeStore` is the per-node sibling of
-:class:`~repro.shard.ShardedStore`. Both satisfy the
-:class:`~repro.api.KVStore` protocol and route keys identically (same
-hash / range placement, driven by the :class:`~repro.cluster.ClusterMap`),
-but a NodeStore opens only the trees for the shards *assigned to its
-node id* — requests for any other shard raise
-:class:`~repro.errors.ShardMovedError` carrying the owning node's
-address and the map epoch, which the serving layer turns into the
-retryable ``ERR MOVED`` redirect. ``num_shards`` still reports the
-*global* shard count, so the serving layer's per-shard group committers
-line up with cluster-wide shard indices unchanged.
+:class:`NodeStore` is a cluster adapter over
+:class:`~repro.shard.ShardedStore`: it holds the shards its
+:class:`~repro.cluster.ClusterMap` assigns to its node id, keyed by
+*global* shard index, and inherits the whole KVStore surface unchanged.
+It adds cluster behaviour only, through the base store's hooks: a shard
+held elsewhere raises :class:`~repro.errors.ShardMovedError` (the
+owner's address and the map epoch, served as the retryable ``ERR
+MOVED`` redirect); a fenced shard refuses writes with
+:class:`~repro.errors.ShardFencedError` (served as ``BUSY``); the layout
+record is ``cluster.json``; and migration and replication ride named
+commit taps.
 
 Live migration is built from five small primitives, driven either
 in-process (:func:`migrate_local`, which the crash-consistency sweep
@@ -21,9 +21,9 @@ crashes at every crossing) or over the wire (the ``MIGRATE`` driver in
    leftovers and open a fresh *receiving* tree that is journaled but not
    serving;
 2. source :meth:`~NodeStore.migration_attach_tail` — tap the shard's
-   WAL commit hook so every group committed from now on is buffered in
-   commit order, then ship a chunked snapshot scan (tail groups are
-   drained and shipped between chunks, so the backlog never grows);
+   commits so every group committed from now on is buffered in commit
+   order, then ship a chunked snapshot scan (tail groups are drained and
+   shipped between chunks, so the backlog never grows);
 3. source :meth:`~NodeStore.fence` — writes to the shard now raise
    :class:`~repro.errors.ShardFencedError` (served as ``BUSY``, absorbed
    by client retry); detaching the tail takes the tree's write mutex, so
@@ -41,24 +41,24 @@ reads the live tree), and every tail group shipped after it is a newer
 commit — so per key, the *last arrival wins* and applying everything in
 arrival order (duplicates included, applies are last-write-wins)
 reproduces the source's latest state. The fence plus the write-mutex
-barrier in the hook detach guarantee the final drain is complete. The
+barrier in the tap detach guarantee the final drain is complete. The
 destination seals *before* the source releases; a crash between the two
 leaves both nodes claiming the shard on disk, and the bumped epoch —
 higher wins — arbitrates to exactly one owner, with both claimants
 holding every acknowledged write.
 
-Cross-node replication (PR 9) reuses the same machinery on the standby
-side: a primary seeds a peer's *replica* tree with the snapshot-chunk
-scan (:meth:`NodeStore.replica_sync_begin` / :meth:`replica_apply`),
-then keeps it warm by forwarding every WAL commit group through an
-attached ship hook (:meth:`attach_replication`). Failover is a
-promotion (:meth:`promote_shards`): the replica node persists a
-bumped-epoch map *before* adopting its warm trees as serving — the
-same seal-before-release discipline as migration, with the stale
-primary fenced by its older epoch. A restarted old primary observes
-the newer map (:meth:`adopt_map`) and demotes itself to replica for
-its former shards; :func:`replicate_local` is the in-process twin of
-the wire shipper that the crash-consistency sweep crashes at every
+Cross-node replication reuses the same machinery on the standby side: a
+primary seeds a peer's *replica* tree with the snapshot-chunk scan
+(:meth:`NodeStore.replica_sync_begin` / :meth:`replica_apply`), then
+keeps it warm by forwarding every commit group through an attached ship
+tap (:meth:`attach_replication`). Failover is a promotion
+(:meth:`promote_shards`): the replica node persists a bumped-epoch map
+*before* adopting its warm trees as serving — the same
+seal-before-release discipline as migration, with the stale primary
+fenced by its older epoch. A restarted old primary observes the newer
+map (:meth:`adopt_map`) and demotes itself to replica for its former
+shards; :func:`replicate_local` is the in-process twin of the wire
+shipper that the crash-consistency sweep crashes at every
 ``repl.node.*`` crossing.
 """
 
@@ -68,28 +68,21 @@ import os
 import shutil
 import threading
 import time
-from heapq import merge as heap_merge
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..api import PartialScanResult, Snapshot, SnapshotLike
 from ..core.config import LSMConfig
 from ..core.entry import Entry
 from ..core.merge_operator import MergeOperator
-from ..core.stats import TreeStats
 from ..core.tree import LSMTree
-from ..core.wal import TXN_ABORT, TXN_COMMIT, TXN_LOG_NAME, TxnDecisionLog
-from ..errors import (
-    BackgroundError,
-    ClosedError,
-    ConfigError,
-    ShardFencedError,
-    ShardMovedError,
-    ShardUnavailableError,
-    TxnConflictError,
-)
+from ..errors import ConfigError, ShardFencedError, ShardMovedError
 from ..faults.registry import fault_point
-from ..replication.store import entries_to_batch_ops
-from ..shard.store import HEALTHY, BatchOp, HealthState
+from ..shard.store import (
+    BatchOp,
+    CommitTap,
+    ShardedStore,
+    committed_txns,
+    entries_to_batch_ops,
+)
 from .map import ClusterMap
 
 #: Upper bound for snapshot pagination: ``scan(after, _MAX_KEY)`` reads
@@ -102,13 +95,17 @@ _MAX_KEY = "\U0010ffff" * 8
 #: Key/value pairs shipped per snapshot chunk by the migration drivers.
 SNAPSHOT_CHUNK = 256
 
+#: Names of the two commit taps a node attaches to a shard.
+_MIGRATION_TAP = "migration"
+_REPLICATION_TAP = "replication"
+
 
 class _TailBuffer:
     """Thread-safe FIFO of batch ops tapped off a shard's WAL commits.
 
-    The WAL commit hook fires on the committing thread, after the
-    group's sync, in commit order; the buffer just records that order so
-    the migration driver can drain and ship in the same order. Merge and
+    The commit tap fires on the committing thread, after the group's
+    sync, in commit order; the buffer just records that order so the
+    migration driver can drain and ship in the same order. Merge and
     range-delete entries are refused — the serving layer only produces
     put/delete, and shipping a merge operand without its base would
     change its meaning on the destination.
@@ -134,7 +131,7 @@ class _TailBuffer:
             return ops
 
 
-class NodeStore:
+class NodeStore(ShardedStore):
     """The shards of one cluster node, routed by a shared ClusterMap.
 
     Args:
@@ -166,45 +163,19 @@ class NodeStore:
             )
         self.node_id = node_id
         self.map = cluster_map
-        self._config = config
-        self._merge_operator = merge_operator
-        self._wal_dir = wal_dir
-        self._closed = False
-        os.makedirs(wal_dir, exist_ok=True)
-        cluster_map.save(wal_dir)
-        #: Serving trees, keyed by *global* shard index.
-        self.trees: Dict[int, LSMTree] = {}
-        self._health: Dict[int, HealthState] = {}
-        for shard in cluster_map.shards_of(node_id):
-            path = self._shard_dir(shard)
-            os.makedirs(path, exist_ok=True)
-            if _recover:
-                tree = LSMTree.recover(
-                    config,
-                    path,
-                    merge_operator=merge_operator,
-                    committed_txns=_committed_txns,
-                )
-            else:
-                tree = LSMTree(
-                    config, wal_dir=path, merge_operator=merge_operator
-                )
-            self.trees[shard] = tree
-            self._health[shard] = HealthState()
-        #: Per-shard write serialization point: the fence check and the
-        #: commit it guards happen under this lock, and :meth:`fence`
-        #: sets its flag under the same lock — so once ``fence`` returns,
-        #: every admitted write has fully committed (and hence been
-        #: captured by the attached tail) and every later write raises.
-        #: Without it a write could pass the check, lose the CPU, and
-        #: commit *after* the tail detached: acknowledged yet never
-        #: shipped. The serving layer already runs one committer per
-        #: shard, so the lock is uncontended in the common case.
-        self._write_locks: Dict[int, threading.Lock] = {
-            shard: threading.Lock() for shard in self.trees
-        }
-        #: Migration state: trees being warmed (not serving), shards
-        #: fenced for handoff, and attached WAL-tail buffers.
+        super().__init__(
+            cluster_map.num_shards,
+            config,
+            routing=cluster_map.routing,
+            boundaries=cluster_map.boundaries or None,
+            wal_dir=wal_dir,
+            merge_operator=merge_operator,
+            _recover=_recover,
+            _committed_txns=_committed_txns,
+            _owned=cluster_map.shards_of(node_id),
+        )
+        #: Migration state: trees being warmed (not serving) and shards
+        #: fenced for handoff.
         self._receiving: Dict[int, LSMTree] = {}
         self._fenced: Set[int] = set()
         #: Shards write-fenced by the *replication* layer: the primary
@@ -215,7 +186,6 @@ class NodeStore:
         #: heartbeat loop (contact re-established) or a demotion, not by
         #: a handoff.
         self._repl_fenced: Set[int] = set()
-        self._tails: Dict[int, _TailBuffer] = {}
         #: Cross-node replication state. ``_replica_trees`` are warm
         #: standbys of shards *other* nodes own (journaled in the same
         #: ``shard-NN/`` directory a serving tree would use — a node is
@@ -224,340 +194,77 @@ class NodeStore:
         #: that completed a seed *in this process lifetime*: only those
         #: are promotable, so a stale directory (a crashed replica, or a
         #: demoted primary awaiting reseed) can never be promoted over
-        #: writes it missed. ``_ship_hooks`` are the primary-side taps
-        #: forwarding commit groups to remote replicas.
+        #: writes it missed.
         self._replica_trees: Dict[int, LSMTree] = {}
         self._replica_fresh: Set[int] = set()
-        self._ship_hooks: Dict[int, Callable[[List[Entry]], None]] = {}
         self._transition_lock = threading.Lock()
-        self._health_lock = threading.Lock()
-        #: Serializes this node's two-phase-commit coordinator and
-        #: snapshot capture, exactly like ShardedStore's. Snapshots are
-        #: node-local consistent points over the shards this node owns,
-        #: keyed by *global* shard index — the cluster client composes
-        #: one per node into a cluster-wide snapshot.
-        self._txn_lock = threading.Lock()
-        #: Coordinator decision log for batches spanning this node's
-        #: shards; lives at the node's WAL root (never inside a shard
-        #: directory, which migrations wipe).
-        self._txn_log = TxnDecisionLog(
-            os.path.join(wal_dir, TXN_LOG_NAME),
-            fsync=config.wal_fsync if config is not None else False,
-        )
 
-    def _shard_dir(self, shard: int) -> str:
-        return os.path.join(self._wal_dir, f"shard-{shard:02d}")
+    # -- ShardedStore hooks ---------------------------------------------------
 
-    # -- routing --------------------------------------------------------------
+    def _persist_layout(self) -> None:
+        self.map.save(self._wal_dir)  # type: ignore[arg-type]
 
-    @property
-    def num_shards(self) -> int:
-        """*Global* shard count (the serving layer's committer fan-out)."""
-        return self.map.num_shards
+    def _scope(self, index: int) -> str:
+        return f"{self.node_id}/shard-{index:02d}"
 
-    def shard_index(self, key: str) -> int:
-        """Global shard index of ``key`` (identical to ShardedStore)."""
-        return self.map.shard_index(key)
-
-    def owned_shards(self) -> List[int]:
-        """Shards this node currently serves, ascending."""
-        return sorted(self.trees)
-
-    def _owned_tree(self, shard: int) -> LSMTree:
-        """The serving tree for ``shard``; MOVED when it lives elsewhere."""
-        tree = self.trees.get(shard)
+    def _owned_tree(self, index: int) -> LSMTree:
+        """The serving tree for ``index``; MOVED when it lives elsewhere."""
+        tree = self.trees.get(index)
         if tree is None:
-            owner = self.map.owner(shard)
+            owner = self.map.owner(index)
             raise ShardMovedError(
-                shard, owner.node_id, owner.host, owner.port, self.map.epoch
+                index, owner.node_id, owner.host, owner.port, self.map.epoch
             )
         return tree
 
-    # -- failure isolation (mirrors ShardedStore) -----------------------------
+    def _admit(self, index: int) -> None:
+        if index in self._fenced or index in self._repl_fenced:
+            raise ShardFencedError(index)
 
-    def _quarantine(self, shard: int, cause: BaseException) -> None:
-        with self._health_lock:
-            health = self._health[shard]
-            if health.healthy:
-                health.state = "quarantined"
-                health.reason = str(cause) or type(cause).__name__
-                health.since_s = time.monotonic()
-
-    def _check_available(self, shard: int) -> None:
-        health = self._health.get(shard)
-        if health is not None and not health.healthy:
-            raise ShardUnavailableError(
-                shard, health.reason or "quarantined"
-            )
-
-    def _shard_op(self, shard: int, op: Callable[[], object]):
-        self._check_available(shard)
-        tree = self._owned_tree(shard)
-        error = tree.background_error()
-        if error is not None:
-            self._quarantine(shard, error)
-            raise ShardUnavailableError(
-                shard, f"background workers died: {error}"
-            )
-        try:
-            return op()
-        except BackgroundError as exc:
-            self._quarantine(shard, exc)
-            raise ShardUnavailableError(shard, str(exc)) from exc
-
-    # -- KVStore operations ---------------------------------------------------
-
-    def put(self, key: str, value: str) -> None:
-        self.write_batch([("put", key, value)])
-
-    def delete(self, key: str) -> None:
-        self.write_batch([("delete", key, None)])
-
-    def get(
-        self, key: str, at: Optional[SnapshotLike] = None
-    ) -> Optional[str]:
-        self._check_open()
-        shard = self.shard_index(key)
-        tree = self._owned_tree(shard)
-        if at is None:
-            return self._shard_op(shard, lambda: tree.get(key))
-        seq = Snapshot.coerce(at).seqno_for(shard)
-        return self._shard_op(shard, lambda: tree.get(key, at=seq))
-
-    def snapshot(self) -> Snapshot:
-        """Consistent read point over the shards *this node owns*.
-
-        Seqnos are keyed by global shard index, so per-node snapshot
-        tokens from every node merge into one cluster-wide snapshot
-        (:meth:`repro.cluster.ClusterClient.snapshot`). Capture holds the
-        transaction lock, so it never splits a cross-shard batch this
-        node coordinated.
-        """
-        self._check_open()
-        with self._txn_lock:
-            pins: Dict[int, int] = {}
-            for shard, tree in sorted(self.trees.items()):
-                if self._health[shard].healthy:
-                    pins[shard] = tree.snapshot_pin()
-        trees = {shard: self.trees[shard] for shard in pins}
-
-        def release() -> None:
-            for shard, seq in pins.items():
-                try:
-                    trees[shard].snapshot_release(seq)
-                except Exception:
-                    pass  # a released/killed tree drops its pins anyway
-
-        return Snapshot(pins, release=release)
+    def _standby_trees(self) -> List[LSMTree]:
+        # Receiving trees never served; standbys are reseeded from the
+        # primary on restart anyway.
+        return list(self._receiving.values()) + list(
+            self._replica_trees.values()
+        )
 
     def write_batch(self, ops: Sequence[BatchOp]) -> None:
-        """Commit ``ops`` on their owned shards; MOVED/fenced up front.
+        """:meth:`ShardedStore.write_batch`, refusing keys that a live
+        migration's snapshot scan could not paginate.
 
-        Validation and ownership/fence checks run before anything is
-        applied, so a batch touching a moved or fenced shard fails with
-        nothing written. A single-shard batch (the overwhelmingly common
-        case — the serving layer runs one committer per shard) commits
-        directly; a batch spanning several *owned* shards goes through
-        the node's two-phase-commit coordinator
-        (:meth:`_commit_cross_shard`), so it is all-or-nothing even
-        across a crash. A batch spanning *nodes* is the cluster client's
-        job to split — each node only ever coordinates its own shards.
+        A batch spanning *nodes* is the cluster client's job to split —
+        each node only ever coordinates its own shards.
         """
-        self._check_open()
-        if not ops:
-            return
-        for op, key, value in ops:
-            if not key:
-                raise ValueError("keys must be non-empty")
+        for _op, key, _value in ops:
             if key >= _MAX_KEY:
                 raise ValueError(
                     "keys must sort below the migration snapshot bound "
                     "(8 maximal code points); this key could not be "
                     "paginated by a live migration"
                 )
-            if op == "put":
-                if value is None:
-                    raise ValueError("put ops need a value")
-            elif op != "delete":
-                raise ValueError(f"unknown batch op {op!r}")
-        by_shard: Dict[int, List[BatchOp]] = {}
-        for batch_op in ops:
-            by_shard.setdefault(
-                self.shard_index(batch_op[1]), []
-            ).append(batch_op)
-        for shard in by_shard:
-            self._owned_tree(shard)
-            if shard in self._fenced or shard in self._repl_fenced:
-                raise ShardFencedError(shard)
-            self._check_available(shard)
-        if len(by_shard) == 1:
-            shard, sub_ops = next(iter(by_shard.items()))
-            tree = self._owned_tree(shard)
-            lock = self._write_locks.get(shard)
-            if lock is None:  # released between the check and here
-                raise ShardFencedError(shard)
-            with lock:
-                if shard in self._fenced or shard in self._repl_fenced:
-                    raise ShardFencedError(shard)
-                self._shard_op(shard, lambda: tree.write_batch(sub_ops))
-            return
-        self._commit_cross_shard(by_shard)
+        super().write_batch(ops)
 
-    def _commit_cross_shard(
-        self, by_shard: Dict[int, List[BatchOp]]
-    ) -> None:
-        """Two-phase commit across this node's own shards.
+    def owned_shards(self) -> List[int]:
+        """Shards this node currently serves, ascending."""
+        return sorted(self.trees)
 
-        Same protocol as :meth:`repro.shard.ShardedStore`'s coordinator
-        — prepare every shard, one durable decision, then apply — with
-        the node's fence discipline layered in: every involved shard's
-        write lock is taken (in sorted order, so concurrent coordinators
-        cannot deadlock) and its fence re-checked before any prepare, and
-        the locks are held through the apply, so :meth:`fence` returning
-        still means every admitted write has fully committed.
-        """
-        shards = sorted(by_shard)
-        locks = []
-        for shard in shards:
-            # Ownership first: a shard served elsewhere must answer the
-            # MOVED redirect, not the fence's BUSY (which would make the
-            # client retry the wrong node forever).
-            self._owned_tree(shard)
-            lock = self._write_locks.get(shard)
-            if lock is None:
-                raise ShardFencedError(shard)
-            locks.append(lock)
-        with self._txn_lock:
-            acquired = []
-            try:
-                for shard, lock in zip(shards, locks):
-                    lock.acquire()
-                    acquired.append(lock)
-                for shard in shards:
-                    if shard in self._fenced or shard in self._repl_fenced:
-                        raise ShardFencedError(shard)
-                txn_id = self._txn_log.next_txn_id()
-                prepared: List[int] = []
-                try:
-                    for shard in shards:
-                        fault_point(
-                            "txn.prepare",
-                            scope=f"{self.node_id}/shard-{shard:02d}",
-                        )
-                        self._shard_op(
-                            shard,
-                            lambda shard=shard: self.trees[
-                                shard
-                            ].txn_prepare(txn_id, by_shard[shard]),
-                        )
-                        prepared.append(shard)
-                except Exception:
-                    self._rollback_prepared(txn_id, prepared)
-                    raise
-                try:
-                    self._txn_log.append(txn_id, TXN_COMMIT)
-                except Exception as exc:
-                    self._rollback_prepared(txn_id, prepared)
-                    try:
-                        self._txn_log.append(txn_id, TXN_ABORT)
-                    except Exception:
-                        pass
-                    raise TxnConflictError(
-                        "cross-shard batch rolled back: the coordinator "
-                        "decision could not be made durable"
-                    ) from exc
-                failure: Optional[BaseException] = None
-                for shard in prepared:
-                    fault_point(
-                        "txn.commit",
-                        scope=f"{self.node_id}/shard-{shard:02d}",
-                    )
-                    try:
-                        self._shard_op(
-                            shard,
-                            lambda shard=shard: self.trees[
-                                shard
-                            ].txn_commit(txn_id),
-                        )
-                    except Exception as exc:
-                        if failure is None:
-                            failure = exc
-                if failure is not None:
-                    raise failure
-            finally:
-                for lock in reversed(acquired):
-                    lock.release()
+    def _tapped(self, name: str) -> List[int]:
+        return sorted(
+            shard for shard, taps in self._commit_taps.items() if name in taps
+        )
 
-    def _rollback_prepared(self, txn_id: int, prepared: List[int]) -> None:
-        for shard in reversed(prepared):
-            try:
-                self.trees[shard].txn_abort(txn_id)
-            except Exception:
-                pass  # recovery rolls an undecided prepare back anyway
-
-    def scan(
-        self,
-        lo: str,
-        hi: str,
-        limit: Optional[int] = None,
-        *,
-        at: Optional[SnapshotLike] = None,
-        allow_partial: bool = False,
-    ) -> List[Tuple[str, str]]:
-        """Range lookup over the shards *this node owns*.
-
-        A node answers for its slice of the key space only; the
-        cluster-wide merge across nodes is the
-        :class:`~repro.cluster.ClusterClient`'s job. Range routing skips
-        owned shards outside ``[lo, hi)``. ``at=`` reads each shard at
-        its snapshot-pinned seqno; ``allow_partial=True`` skips
-        quarantined shards and reports them in the
-        :class:`PartialScanResult`.
-        """
-        self._check_open()
-        if limit is not None and limit < 0:
-            raise ValueError("limit must be non-negative (or None)")
-        snap = None if at is None else Snapshot.coerce(at)
-        if lo >= hi or limit == 0:
-            return PartialScanResult([], []) if allow_partial else []
-        involved = sorted(self.trees)
-        if self.map.routing == "range":
-            import bisect
-
-            first = bisect.bisect_right(self.map.boundaries, lo)
-            # hi is exclusive, so bisect_left: a scan ending exactly on
-            # a boundary skips the next shard (it owns keys >= hi).
-            last = bisect.bisect_left(self.map.boundaries, hi)
-            involved = [s for s in involved if first <= s <= last]
-        partials: List[List[Tuple[str, str]]] = []
-        skipped: List[int] = []
-        for shard in involved:
-            tree = self.trees[shard]
-            try:
-                if snap is None:
-                    partials.append(
-                        self._shard_op(
-                            shard, lambda: tree.scan(lo, hi, limit)
-                        )
-                    )
-                else:
-                    seq = snap.seqno_for(shard)
-                    partials.append(
-                        self._shard_op(
-                            shard,
-                            lambda: tree.scan(lo, hi, limit, at=seq),
-                        )
-                    )
-            except ShardUnavailableError:
-                if not allow_partial:
-                    raise
-                skipped.append(shard)
-        merged = list(heap_merge(*partials))
-        if limit is not None:
-            merged = merged[:limit]
-        if allow_partial:
-            return PartialScanResult(merged, skipped)
-        return merged
+    def _wipe_shard(self, shard: int) -> str:
+        """Abandon ``shard``'s non-serving trees and empty its directory
+        for a fresh one (both kinds journal there); returns the path."""
+        for trees in (self._receiving, self._replica_trees):
+            stale = trees.pop(shard, None)
+            if stale is not None:
+                stale.kill()
+        self._replica_fresh.discard(shard)
+        path = self._shard_dir(shard)
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path, exist_ok=True)
+        return path
 
     # -- migration primitives: destination side -------------------------------
 
@@ -575,27 +282,11 @@ class NodeStore:
                 raise ConfigError(
                     f"node {self.node_id} already owns shard {shard}"
                 )
-            stale = self._receiving.pop(shard, None)
-            if stale is not None:
-                stale.kill()
-            standby = self._replica_trees.pop(shard, None)
-            if standby is not None:
-                # The shard is migrating onto its own replica node; the
-                # warm copy is superseded by the full snapshot + tail.
-                standby.kill()
-                self._replica_fresh.discard(shard)
-            path = self._shard_dir(shard)
-            shutil.rmtree(path, ignore_errors=True)
-            os.makedirs(path, exist_ok=True)
-            fault_point(
-                "cluster.migrate.begin",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
-            self._receiving[shard] = LSMTree(
-                self._config,
-                wal_dir=path,
-                merge_operator=self._merge_operator,
-            )
+            # A standby is dropped too when the shard migrates onto its
+            # own replica node: the full snapshot + tail supersedes it.
+            path = self._wipe_shard(shard)
+            fault_point("cluster.migrate.begin", scope=self._scope(shard))
+            self._receiving[shard] = self._open_tree(path)
         return self.node_id
 
     def migration_apply(self, shard: int, ops: Sequence[BatchOp]) -> None:
@@ -639,120 +330,98 @@ class NodeStore:
                     f"no migration in progress for shard {shard} on "
                     f"{self.node_id}"
                 )
-            if new_map.epoch <= self.map.epoch:
-                raise ConfigError(
-                    f"seal map epoch {new_map.epoch} is not newer than "
-                    f"current epoch {self.map.epoch}"
-                )
+            self._check_newer(new_map, "seal")
             if new_map.owner_id(shard) != self.node_id:
                 raise ConfigError(
                     f"seal map assigns shard {shard} to "
                     f"{new_map.owner_id(shard)!r}, not {self.node_id!r}"
                 )
-            fault_point(
-                "cluster.migrate.seal",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
+            fault_point("cluster.migrate.seal", scope=self._scope(shard))
             new_map.save(self._wal_dir)
             self.map = new_map
             del self._receiving[shard]
-            self.trees[shard] = tree
-            self._health[shard] = HealthState()
-            self._write_locks[shard] = threading.Lock()
-            self._fenced.discard(shard)
-            self._repl_fenced.discard(shard)
+            self._serve(shard, tree)
 
-    # -- WAL commit tap (shared by migration tails and replication) -----------
+    def _check_newer(self, new_map: ClusterMap, action: str) -> None:
+        if new_map.epoch <= self.map.epoch:
+            raise ConfigError(
+                f"{action} map epoch {new_map.epoch} is not newer than "
+                f"current epoch {self.map.epoch}"
+            )
 
-    def _commit_tap(self, shard: int) -> Callable[[List[Entry]], None]:
-        """One dispatcher for the tree's single WAL-hook slot.
+    def _serve(self, shard: int, tree: LSMTree) -> None:
+        """Adopt ``tree`` as serving, with no fence left over."""
+        self._adopt_tree(shard, tree)
+        self._fenced.discard(shard)
+        self._repl_fenced.discard(shard)
 
-        A shard can be tapped by a migration tail and a replication ship
-        hook *at the same time* (a replicated shard migrating off this
-        node keeps its standby warm throughout), so the hook slot holds
-        this dispatcher and the taps live in dicts. The dicts are read
-        on the committing thread under the tree's write mutex; attach
-        and detach mutate them and then re-install the hook, whose
-        setter takes the same mutex — the barrier that orders every
-        in-flight commit against the change.
+    def _unserve(self, shard: int) -> None:
+        """Stop serving ``shard`` and close its tree.
+
+        The fence flag is set (and kept): a racing write that grabbed the
+        tree before the flip answers FencedError (→ BUSY, retried)
+        instead of committing to the closed tree; its retry re-routes and
+        gets the MOVED redirect.
         """
+        tree = self._drop_tree(shard)
+        self._fenced.add(shard)
+        self._repl_fenced.discard(shard)
+        tree.close()
 
-        def tap(entries: List[Entry]) -> None:
-            tail = self._tails.get(shard)
-            if tail is not None:
-                tail.on_commit(entries)
-            ship = self._ship_hooks.get(shard)
-            if ship is not None:
-                fault_point(
-                    "repl.node.ship",
-                    scope=f"{self.node_id}/shard-{shard:02d}",
-                )
-                ship(entries)
+    # -- replication tap ------------------------------------------------------
 
-        return tap
-
-    def _sync_tap(self, shard: int, tree: LSMTree) -> None:
-        """(Re)install or clear the dispatcher; the setter's write-mutex
-        acquisition is the attach/detach barrier."""
-        if shard in self._tails or shard in self._ship_hooks:
-            tree.set_wal_commit_hook(self._commit_tap(shard))
-        else:
-            tree.set_wal_commit_hook(None)
+    def _attach_tap(
+        self, shard: int, name: str, tap: CommitTap, refusal: str
+    ) -> None:
+        """Attach commit tap ``name`` to an owned shard, at most once."""
+        self._check_open()
+        with self._transition_lock:
+            if shard in self._tapped(name):
+                raise ConfigError(f"shard {shard} {refusal} {self.node_id}")
+            self._owned_tree(shard)
+            self.set_commit_tap(shard, name, tap)
 
     def attach_replication(
         self, shard: int, ship: Callable[[List[Entry]], None]
     ) -> None:
         """Forward ``shard``'s committed WAL groups to ``ship``.
 
-        ``ship`` fires on the committing thread, under the shard's write
-        mutex, after the group's local WAL sync — with exactly the
-        entries the durability contract acknowledged. A synchronous
-        (blocking) ship therefore gives sync-replication semantics:
-        the client's ack implies the replica saw the group. Every group
-        committed after this returns is forwarded.
+        ``ship`` is a commit tap (:meth:`set_commit_tap`): it fires on
+        the committing thread after the group's local WAL sync, with
+        exactly the entries the durability contract acknowledged. A
+        synchronous (blocking) ship therefore gives sync-replication
+        semantics: the client's ack implies the replica saw the group.
+        Every group committed after this returns is forwarded.
         """
-        self._check_open()
-        with self._transition_lock:
-            if shard in self._ship_hooks:
-                raise ConfigError(
-                    f"shard {shard} already ships replication off "
-                    f"{self.node_id}"
-                )
-            tree = self._owned_tree(shard)
-            self._ship_hooks[shard] = ship
-            self._sync_tap(shard, tree)
+        scope = self._scope(shard)
+
+        def tap(entries: List[Entry]) -> None:
+            fault_point("repl.node.ship", scope=scope)
+            ship(entries)
+
+        self._attach_tap(
+            shard, _REPLICATION_TAP, tap, "already ships replication off"
+        )
 
     def detach_replication(self, shard: int) -> None:
-        """Stop forwarding ``shard``'s commits. Idempotent; the
-        write-mutex barrier in the hook setter guarantees no ship fires
+        """Stop forwarding ``shard``'s commits. Idempotent; no ship fires
         after this returns."""
         self._check_open()
         with self._transition_lock:
-            if self._ship_hooks.pop(shard, None) is None:
-                return
-            tree = self.trees.get(shard)
-            if tree is not None:
-                self._sync_tap(shard, tree)
+            self.set_commit_tap(shard, _REPLICATION_TAP, None)
 
     # -- migration primitives: source side ------------------------------------
 
     def migration_attach_tail(self, shard: int) -> _TailBuffer:
-        """Tap ``shard``'s WAL commits into a buffer; returns the buffer.
+        """Tap ``shard``'s commits into a buffer; returns the buffer.
 
-        Installing the hook takes the tree's write mutex, so every
-        commit group that completes after this returns is captured.
+        Every commit group that completes after this returns is
+        captured.
         """
-        self._check_open()
-        with self._transition_lock:
-            if shard in self._tails:
-                raise ConfigError(
-                    f"shard {shard} is already migrating off "
-                    f"{self.node_id}"
-                )
-            tree = self._owned_tree(shard)
-            tail = _TailBuffer(shard)
-            self._tails[shard] = tail
-            self._sync_tap(shard, tree)
+        tail = _TailBuffer(shard)
+        self._attach_tap(
+            shard, _MIGRATION_TAP, tail.on_commit, "is already migrating off"
+        )
         return tail
 
     def migration_snapshot_chunk(
@@ -764,27 +433,22 @@ class NodeStore:
         """The next ``limit`` live pairs of ``shard`` strictly after
         ``after`` (``None`` starts from the beginning)."""
         self._check_open()
-        tree = self._owned_tree(shard)
         lo = "" if after is None else after + "\x00"
         return self._shard_op(
-            shard, lambda: tree.scan(lo, _MAX_KEY, limit)
+            shard, lambda tree: tree.scan(lo, _MAX_KEY, limit)
         )
 
     def fence(self, shard: int) -> None:
         """Refuse new writes to ``shard`` (``ShardFencedError`` → BUSY).
 
         Setting the flag under the shard's write lock is the handoff's
-        linearization point: acquiring the lock waits out any write that
-        already passed its fence check, so when this returns, every
-        acknowledged write has committed (and fired the attached tail
-        hook) and every later write raises.
+        linearization point (see :meth:`ShardedStore._admit`): when this
+        returns, every acknowledged write has committed (and fired the
+        attached tail tap) and every later write raises.
         """
         self._check_open()
         self._owned_tree(shard)
-        fault_point(
-            "cluster.migrate.fence",
-            scope=f"{self.node_id}/shard-{shard:02d}",
-        )
+        fault_point("cluster.migrate.fence", scope=self._scope(shard))
         with self._write_locks[shard]:
             self._fenced.add(shard)
 
@@ -804,9 +468,7 @@ class NodeStore:
         self._check_open()
         if self.trees.get(shard) is None or shard in self._repl_fenced:
             return False
-        fault_point(
-            "repl.node.fence", scope=f"{self.node_id}/shard-{shard:02d}"
-        )
+        fault_point("repl.node.fence", scope=self._scope(shard))
         lock = self._write_locks.get(shard)
         if lock is None:
             return False
@@ -828,15 +490,13 @@ class NodeStore:
         return sorted(self._repl_fenced)
 
     def migration_detach_tail(self, shard: int) -> None:
-        """Remove the WAL tail tap (a replication ship hook, if any,
-        stays attached). Taking the write mutex inside
-        ``set_wal_commit_hook`` doubles as the drain barrier: when this
-        returns, every in-flight commit has already fired the hook."""
+        """Remove the migration tail tap (a replication tap, if any,
+        stays attached). The tap barrier doubles as the drain barrier:
+        when this returns, every in-flight commit has reached the tail."""
         self._check_open()
-        tree = self._owned_tree(shard)
+        self._owned_tree(shard)
         with self._transition_lock:
-            self._tails.pop(shard, None)
-            self._sync_tap(shard, tree)
+            self.set_commit_tap(shard, _MIGRATION_TAP, None)
 
     def release_shard(self, shard: int, new_map: ClusterMap) -> None:
         """Persist the flip and stop serving ``shard`` (MOVED hereafter).
@@ -849,53 +509,32 @@ class NodeStore:
         """
         self._check_open()
         with self._transition_lock:
-            tree = self.trees.get(shard)
-            if tree is None:
+            if shard not in self.trees:
                 raise ConfigError(
                     f"node {self.node_id} does not own shard {shard}"
                 )
-            if new_map.epoch <= self.map.epoch:
-                raise ConfigError(
-                    f"release map epoch {new_map.epoch} is not newer "
-                    f"than current epoch {self.map.epoch}"
-                )
+            self._check_newer(new_map, "release")
             if new_map.owner_id(shard) == self.node_id:
                 raise ConfigError(
                     f"release map still assigns shard {shard} to "
                     f"{self.node_id!r}"
                 )
-            fault_point(
-                "cluster.migrate.release",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
+            fault_point("cluster.migrate.release", scope=self._scope(shard))
             new_map.save(self._wal_dir)
             self.map = new_map
-            del self.trees[shard]
-            self._health.pop(shard, None)
-            self._write_locks.pop(shard, None)
-            self._repl_fenced.discard(shard)
-            # The fence flag is deliberately *kept*: a racing write that
-            # grabbed the tree before the flip answers FencedError (→
-            # BUSY, retried) instead of committing to the closed tree;
-            # its retry re-routes and gets the MOVED redirect.
-            self._tails.pop(shard, None)
-            self._ship_hooks.pop(shard, None)
-            tree.close()
+            self._unserve(shard)
 
     def abort_migration(self, shard: int) -> None:
         """Undo source-side migration state after a failed attempt:
         detach the tail, lift the fence, keep serving (and keep
         shipping, when the shard is replicated)."""
         with self._transition_lock:
-            tree = self.trees.get(shard)
-            had_tail = self._tails.pop(shard, None) is not None
-            if tree is not None and had_tail:
-                self._sync_tap(shard, tree)
+            self.set_commit_tap(shard, _MIGRATION_TAP, None)
             self._fenced.discard(shard)
 
     def migrating_shards(self) -> List[int]:
         """Shards with an attached outbound tail (source side)."""
-        return sorted(self._tails)
+        return self._tapped(_MIGRATION_TAP)
 
     # -- cross-node replication: standby side ----------------------------------
 
@@ -930,22 +569,9 @@ class NodeStore:
                     f"node {self.node_id} serves shard {shard} as "
                     "primary; it cannot also receive its replica stream"
                 )
-            self._replica_fresh.discard(shard)
-            stale = self._replica_trees.pop(shard, None)
-            if stale is not None:
-                stale.kill()
-            path = self._shard_dir(shard)
-            shutil.rmtree(path, ignore_errors=True)
-            os.makedirs(path, exist_ok=True)
-            fault_point(
-                "repl.node.sync",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
-            self._replica_trees[shard] = LSMTree(
-                self._config,
-                wal_dir=path,
-                merge_operator=self._merge_operator,
-            )
+            path = self._wipe_shard(shard)
+            fault_point("repl.node.sync", scope=self._scope(shard))
+            self._replica_trees[shard] = self._open_tree(path)
         return self.node_id
 
     def replica_apply(self, shard: int, ops: Sequence[BatchOp]) -> None:
@@ -960,10 +586,7 @@ class NodeStore:
                 f"shard {shard}"
             )
         if ops:
-            fault_point(
-                "repl.node.apply",
-                scope=f"{self.node_id}/shard-{shard:02d}",
-            )
+            fault_point("repl.node.apply", scope=self._scope(shard))
             tree.write_batch(list(ops))
 
     def replica_mark_seeded(self, shard: int) -> None:
@@ -1002,11 +625,7 @@ class NodeStore:
         if not shards:
             raise ConfigError("a promotion needs at least one shard")
         with self._transition_lock:
-            if new_map.epoch <= self.map.epoch:
-                raise ConfigError(
-                    f"promotion map epoch {new_map.epoch} is not newer "
-                    f"than current epoch {self.map.epoch}"
-                )
+            self._check_newer(new_map, "promotion")
             for shard in shards:
                 if new_map.owner_id(shard) != self.node_id:
                     raise ConfigError(
@@ -1029,14 +648,18 @@ class NodeStore:
             new_map.save(self._wal_dir)
             self.map = new_map
             for shard in shards:
-                tree = self._replica_trees.pop(shard)
                 self._replica_fresh.discard(shard)
-                self.trees[shard] = tree
-                self._health[shard] = HealthState()
-                self._write_locks[shard] = threading.Lock()
-                self._fenced.discard(shard)
-                self._repl_fenced.discard(shard)
+                self._serve(shard, self._replica_trees.pop(shard))
             fault_point("repl.node.promote.done", scope=self.node_id)
+
+    # -- map installation -----------------------------------------------------
+
+    def _check_pushed_map(self, new_map: ClusterMap) -> None:
+        if self.node_id not in new_map.nodes:
+            raise ConfigError(
+                f"pushed map (epoch {new_map.epoch}) drops node "
+                f"{self.node_id!r} while it is serving"
+            )
 
     def adopt_map(self, new_map: ClusterMap) -> bool:
         """Install a newer map, demoting this node where ownership moved
@@ -1057,11 +680,7 @@ class NodeStore:
         with self._transition_lock:
             if new_map.epoch <= self.map.epoch:
                 return False
-            if self.node_id not in new_map.nodes:
-                raise ConfigError(
-                    f"pushed map (epoch {new_map.epoch}) drops node "
-                    f"{self.node_id!r} while it is serving"
-                )
+            self._check_pushed_map(new_map)
             gained = set(new_map.shards_of(self.node_id)) - set(self.trees)
             if gained:
                 raise ConfigError(
@@ -1073,34 +692,20 @@ class NodeStore:
                 set(self.trees) - set(new_map.shards_of(self.node_id))
             )
             for shard in lost:
-                fault_point(
-                    "repl.node.demote",
-                    scope=f"{self.node_id}/shard-{shard:02d}",
-                )
+                fault_point("repl.node.demote", scope=self._scope(shard))
             # Persist first (seal-before-release in reverse: the newer
             # epoch on disk is what durably fences our stale claim),
             # then stop serving the demoted shards.
             new_map.save(self._wal_dir)
             self.map = new_map
             for shard in lost:
-                tree = self.trees.pop(shard)
-                self._health.pop(shard, None)
-                self._write_locks.pop(shard, None)
-                # Like release_shard: racing writes answer BUSY (fence),
-                # their retry re-routes and gets the MOVED redirect.
-                self._fenced.add(shard)
-                self._repl_fenced.discard(shard)
-                self._tails.pop(shard, None)
-                self._ship_hooks.pop(shard, None)
-                tree.close()
+                self._unserve(shard)
             # Standbys for shards we no longer replicate are dropped.
             for shard in list(self._replica_trees):
                 if new_map.replica_id(shard) != self.node_id:
                     self._replica_fresh.discard(shard)
                     self._replica_trees.pop(shard).close()
             return True
-
-    # -- map installation -----------------------------------------------------
 
     def install_map(self, new_map: ClusterMap) -> bool:
         """Adopt a pushed map when it is newer and consistent; returns
@@ -1115,11 +720,7 @@ class NodeStore:
         with self._transition_lock:
             if new_map.epoch <= self.map.epoch:
                 return False
-            if self.node_id not in new_map.nodes:
-                raise ConfigError(
-                    f"pushed map (epoch {new_map.epoch}) drops node "
-                    f"{self.node_id!r} while it is serving"
-                )
+            self._check_pushed_map(new_map)
             if set(new_map.shards_of(self.node_id)) != set(self.trees):
                 raise ConfigError(
                     f"pushed map (epoch {new_map.epoch}) assigns "
@@ -1132,64 +733,10 @@ class NodeStore:
             self.map = new_map
             return True
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def flush(self) -> None:
-        self._check_open()
-        for shard in sorted(self.trees):
-            if self._health[shard].healthy:
-                self._shard_op(shard, self.trees[shard].flush)
-
-    def close(self) -> None:
-        """Close every tree (serving and receiving). Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        failure: Optional[BaseException] = None
-        for tree in list(self._receiving.values()):
-            tree.kill()  # never served; nothing promised
-        for tree in list(self._replica_trees.values()):
-            tree.kill()  # reseeded from the primary on restart anyway
-        for shard, tree in sorted(self.trees.items()):
-            try:
-                tree.close()
-            except BackgroundError as exc:
-                if self._health[shard].healthy and failure is None:
-                    failure = exc
-            except BaseException as exc:
-                if failure is None:
-                    failure = exc
-        self._txn_log.close()
-        if failure is not None:
-            raise failure
-
-    def kill(self) -> None:
-        """Abandon everything as a process crash would. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for tree in list(self._receiving.values()):
-            tree.kill()
-        for tree in list(self._replica_trees.values()):
-            tree.kill()
-        for tree in self.trees.values():
-            tree.kill()
-        self._txn_log.close()
-
-    def __enter__(self) -> "NodeStore":
-        return self
-
-    def __exit__(self, *_exc_info: object) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ClosedError("node store is closed")
-
-    # -- recovery -------------------------------------------------------------
+    # -- recovery and health --------------------------------------------------
 
     @classmethod
-    def recover(
+    def recover(  # type: ignore[override]
         cls,
         node_id: str,
         config: Optional[LSMConfig],
@@ -1201,142 +748,50 @@ class NodeStore:
 
         The persisted ``cluster.json`` (the freshest map this node ever
         saved) decides which shards to open; each owned shard replays
-        its own WAL. Shard directories the map does *not* assign to this
-        node are left untouched — they are either an interrupted inbound
-        migration (re-wiped by the next ``migration_begin``) or data
-        this node released, kept as the crash-window backstop.
+        its own WAL against the node's ``txn.log`` decisions, exactly as
+        :meth:`ShardedStore.recover`. Shard directories the map does
+        *not* assign to this node are left untouched — they are either
+        an interrupted inbound migration (re-wiped by the next
+        ``migration_begin``) or data this node released, kept as the
+        crash-window backstop.
         """
-        cluster_map = ClusterMap.load(wal_dir)
-        decisions = TxnDecisionLog.replay(
-            os.path.join(wal_dir, TXN_LOG_NAME)
-        )
-        committed = frozenset(
-            txn for txn, verdict in decisions.items()
-            if verdict == TXN_COMMIT
-        )
         return cls(
             node_id,
-            cluster_map,
+            ClusterMap.load(wal_dir),
             config,
             wal_dir=wal_dir,
             merge_operator=merge_operator,
             _recover=True,
-            _committed_txns=committed,
-        )
-
-    # -- introspection --------------------------------------------------------
-
-    @property
-    def stats(self) -> TreeStats:
-        owned = [tree.stats for tree in self.trees.values()]
-        return TreeStats.merged(owned) if owned else TreeStats()
-
-    def backpressure(self) -> Dict[str, object]:
-        """Aggregate admission snapshot over *owned, healthy* shards."""
-        per_shard = []
-        for shard, tree in sorted(self.trees.items()):
-            snapshot = tree.backpressure()
-            snapshot["shard"] = shard
-            snapshot["healthy"] = self._health[shard].healthy
-            per_shard.append(snapshot)
-        healthy = [s for s in per_shard if s["healthy"]]
-        severity = {"ok": 0, "slowdown": 1, "stop": 2}
-        if healthy:
-            worst = max(
-                healthy, key=lambda s: severity.get(str(s["state"]), 0)
-            )
-            state = worst["state"]
-        elif per_shard:
-            worst = per_shard[0]
-            state = "stop"
-        else:  # a node can legitimately own zero shards (drained member)
-            return {
-                "state": "ok",
-                "level0_runs": 0,
-                "immutable_buffers": 0,
-                "slowdown_trigger": 0,
-                "stop_trigger": 0,
-                "quarantined_shards": [],
-                "shards": [],
-            }
-        return {
-            "state": state,
-            "level0_runs": max(int(s["level0_runs"]) for s in per_shard),
-            "immutable_buffers": sum(
-                int(s["immutable_buffers"]) for s in per_shard
-            ),
-            "slowdown_trigger": worst["slowdown_trigger"],
-            "stop_trigger": worst["stop_trigger"],
-            "quarantined_shards": self.quarantined_shards(),
-            "shards": per_shard,
-        }
-
-    def quarantined_shards(self) -> List[int]:
-        return sorted(
-            shard
-            for shard, health in self._health.items()
-            if not health.healthy
+            _committed_txns=committed_txns(wal_dir),
         )
 
     def check_health(self) -> Dict[str, object]:
-        """HEALTH payload: cluster placement plus per-shard quarantine."""
-        self._check_open()
-        for shard, tree in self.trees.items():
-            if self._health[shard].healthy:
-                error = tree.background_error()
-                if error is not None:
-                    self._quarantine(shard, error)
-        quarantined = self.quarantined_shards()
-        if not self.trees:
-            state = HEALTHY
-        elif not quarantined:
-            state = HEALTHY
-        elif len(quarantined) == len(self.trees):
-            state = "failed"
-        else:
-            state = "degraded"
-        return {
-            "state": state,
-            "node_id": self.node_id,
-            "epoch": self.map.epoch,
-            "num_shards": self.map.num_shards,
-            "owned_shards": self.owned_shards(),
-            "migrating_shards": self.migrating_shards(),
-            "receiving_shards": sorted(self._receiving),
-            "replica_shards": self.replica_shards(),
-            "replica_fresh": self.promotable_shards(),
-            "quarantined": quarantined,
-            "shards": [
-                {
-                    "shard": shard,
-                    "state": self._health[shard].state,
-                    "reason": self._health[shard].reason,
-                }
-                for shard in sorted(self.trees)
-            ],
-        }
+        """HEALTH payload: the shard-set rollup plus cluster placement."""
+        payload = super().check_health()
+        payload.update(
+            node_id=self.node_id,
+            epoch=self.map.epoch,
+            owned_shards=self.owned_shards(),
+            migrating_shards=self.migrating_shards(),
+            receiving_shards=sorted(self._receiving),
+            replica_shards=self.replica_shards(),
+            replica_fresh=self.promotable_shards(),
+        )
+        return payload
 
-    def shard_summary(self) -> List[Dict[str, object]]:
-        return [
-            {
-                "shard": shard,
-                "routing": self.map.routing,
-                "levels": len(tree.levels),
-                "disk_bytes": tree.total_disk_bytes(),
-                "seqno": tree.seqno,
-                "puts": tree.stats.puts,
-                "deletes": tree.stats.deletes,
-                "flushes": tree.stats.flushes,
-                "compactions": tree.stats.compactions,
-                "backpressure": tree.backpressure()["state"],
-                "health": self._health[shard].state,
-                "health_reason": self._health[shard].reason,
-            }
-            for shard, tree in sorted(self.trees.items())
-        ]
 
-    def total_disk_bytes(self) -> int:
-        return sum(tree.total_disk_bytes() for tree in self.trees.values())
+def _snapshot_chunks(
+    source: NodeStore, shard: int, chunk: int
+) -> Iterator[List[BatchOp]]:
+    """``shard``'s live pairs on ``source`` as put batches of up to
+    ``chunk`` ops, in key order; the last batch is short (maybe empty)."""
+    after: Optional[str] = None
+    while True:
+        pairs = source.migration_snapshot_chunk(shard, after, chunk)
+        yield [("put", key, value) for key, value in pairs]
+        if len(pairs) < chunk:
+            return
+        after = pairs[-1][0]
 
 
 def migrate_local(
@@ -1366,28 +821,15 @@ def migrate_local(
     tail = source.migration_attach_tail(shard)
     snapshot_pairs = 0
     try:
-        after: Optional[str] = None
-        while True:
-            pairs = source.migration_snapshot_chunk(shard, after, chunk)
-            if pairs:
-                fault_point(
-                    "cluster.migrate.snapshot",
-                    scope=f"{source.node_id}/shard-{shard:02d}",
-                )
-                dest.migration_apply(
-                    shard, [("put", key, value) for key, value in pairs]
-                )
-                snapshot_pairs += len(pairs)
-                after = pairs[-1][0]
+        for ops in _snapshot_chunks(source, shard, chunk):
+            if ops:
+                fault_point("cluster.migrate.snapshot", scope=source._scope(shard))
+                dest.migration_apply(shard, ops)
+                snapshot_pairs += len(ops)
             drained = tail.drain()
             if drained:
-                fault_point(
-                    "cluster.migrate.tail",
-                    scope=f"{source.node_id}/shard-{shard:02d}",
-                )
+                fault_point("cluster.migrate.tail", scope=source._scope(shard))
                 dest.migration_apply(shard, drained)
-            if len(pairs) < chunk:
-                break
         if during is not None:
             during()
         fence_started = time.monotonic()
@@ -1395,10 +837,7 @@ def migrate_local(
         source.migration_detach_tail(shard)
         final_tail = tail.drain()
         if final_tail:
-            fault_point(
-                "cluster.migrate.tail",
-                scope=f"{source.node_id}/shard-{shard:02d}",
-            )
+            fault_point("cluster.migrate.tail", scope=source._scope(shard))
             dest.migration_apply(shard, final_tail)
         new_map = source.map.with_assignment(shard, dest.node_id)
         dest.migration_seal(shard, new_map)
@@ -1452,16 +891,8 @@ def replicate_local(
 
     source.attach_replication(shard, ship)
     try:
-        after: Optional[str] = None
-        while True:
-            pairs = source.migration_snapshot_chunk(shard, after, chunk)
-            if pairs:
-                dest.replica_apply(
-                    shard, [("put", key, value) for key, value in pairs]
-                )
-                after = pairs[-1][0]
-            if len(pairs) < chunk:
-                break
+        for ops in _snapshot_chunks(source, shard, chunk):
+            dest.replica_apply(shard, ops)
         dest.replica_mark_seeded(shard)
     except BaseException:
         if not source._closed:

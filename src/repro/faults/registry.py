@@ -178,12 +178,12 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "shard.manifest.tmp",
-            "shard/store.py _write_manifest",
+            "shard/store.py write_manifest",
             "shards.json tmp written, before the atomic rename",
         ),
         Failpoint(
             "shard.manifest.done",
-            "shard/store.py _write_manifest",
+            "shard/store.py write_manifest",
             "after the shards.json rename",
         ),
         Failpoint(
@@ -193,7 +193,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "txn.prepare",
-            "shard/store.py _commit_cross_shard",
+            "shard/store.py _two_phase_commit",
             "before a shard's PREPARE record for a cross-shard batch",
         ),
         Failpoint(
@@ -214,7 +214,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "txn.commit",
-            "shard/store.py _commit_cross_shard",
+            "shard/store.py _two_phase_commit",
             "decision durable, before a shard applies its sub-batch",
         ),
         Failpoint(
@@ -256,12 +256,12 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "repl.manifest.tmp",
-            "replication/store.py _write_replica_manifest",
+            "shard/store.py write_manifest (replica side)",
             "replica-side shards.json tmp written, before its rename",
         ),
         Failpoint(
             "repl.manifest.done",
-            "replication/store.py _write_replica_manifest",
+            "shard/store.py write_manifest (replica side)",
             "after the replica-side shards.json rename",
         ),
         Failpoint(
@@ -308,7 +308,7 @@ FAILPOINTS: Dict[str, Failpoint] = {
         ),
         Failpoint(
             "repl.node.ship",
-            "cluster/store.py _commit_tap",
+            "cluster/store.py attach_replication",
             "commit group durable on the primary, before shipping it to "
             "the replica node",
         ),

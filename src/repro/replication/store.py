@@ -33,8 +33,8 @@ implements exactly that, one replica per shard:
   died), the store promotes the replica in place: detach the hook, drain
   the replication queue into the standby, kill the old primary, and swap
   the replica in as the shard's serving tree — readers and writers
-  re-route on their next operation because every shard-routed lambda
-  re-reads ``self.shards[index]``. Promotion is triggered automatically
+  re-route on their next operation because every shard-routed operation
+  looks its tree up afresh. Promotion is triggered automatically
   from the operation path (a routed op that finds its shard quarantined)
   and from :meth:`check_health` (which the serving layer's ``HEALTH``
   command polls), and is available manually via :meth:`promote` for
@@ -62,26 +62,18 @@ distributed store — and the sweep's tracker treats it exactly that way.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
-import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, TypeVar
 
 from ..core.config import LSMConfig
-from ..core.entry import Entry, EntryKind
+from ..core.entry import Entry
 from ..core.merge_operator import MergeOperator
 from ..core.tree import LSMTree
-from ..core.wal import TXN_COMMIT, TXN_LOG_NAME, TxnDecisionLog
-from ..errors import (
-    ConfigError,
-    CorruptionError,
-    ReplicationError,
-    ShardUnavailableError,
-)
+from ..errors import ConfigError, ReplicationError, ShardUnavailableError
 from ..faults.registry import fault_point
-from ..shard.store import HEALTHY, MANIFEST_NAME, BatchOp, ShardedStore
+from ..shard.store import HealthState, ShardedStore, write_manifest
 
 _T = TypeVar("_T")
 
@@ -96,31 +88,6 @@ REPLICA_DIR = "replica"
 #: Per-shard replication states beyond the configured mode.
 PROMOTED = "promoted"
 REPLICA_LOST = "replica-lost"
-
-
-def entries_to_batch_ops(
-    entries: Sequence[Entry], *, context: str = "replication"
-) -> List[BatchOp]:
-    """Convert committed WAL entries into wire-shippable batch ops.
-
-    The lingua franca between a WAL commit hook and any remote applier
-    (a cluster replica or a migration destination): put/delete survive
-    the translation losslessly, while merge and range-delete entries are
-    refused — shipping a merge operand without its base (or a range
-    tombstone as point ops) would change its meaning on the other side.
-    """
-    converted: List[BatchOp] = []
-    for entry in entries:
-        if entry.kind is EntryKind.PUT:
-            converted.append(("put", entry.key, entry.value))
-        elif entry.kind in (EntryKind.DELETE, EntryKind.SINGLE_DELETE):
-            converted.append(("delete", entry.key, None))
-        else:
-            raise ConfigError(
-                f"{context} cannot ship {entry.kind.name} entries; "
-                "use put/delete workloads on shipped shards"
-            )
-    return converted
 
 
 class _Group:
@@ -359,8 +326,6 @@ class ReplicatedStore(ShardedStore):
             raise ConfigError("ReplicatedStore requires a wal_dir")
         primary_dir = os.path.join(wal_dir, PRIMARY_DIR)
         replica_dir = os.path.join(wal_dir, REPLICA_DIR)
-        os.makedirs(primary_dir, exist_ok=True)
-        os.makedirs(replica_dir, exist_ok=True)
         super().__init__(
             num_shards,
             config,
@@ -372,8 +337,6 @@ class ReplicatedStore(ShardedStore):
             _committed_txns=_committed_txns,
         )
         self.mode = mode
-        self._repl_wal_dir = wal_dir
-        self._replica_dir = replica_dir
         #: Completed failovers (served through ``INFO`` and ``HEALTH``).
         self.promotions = 0
         #: Serializes promote/failover decisions. Never held while
@@ -390,17 +353,10 @@ class ReplicatedStore(ShardedStore):
         ]
         for path in replica_paths:
             os.makedirs(path, exist_ok=True)
-        self._write_replica_manifest(replica_dir)
-        if _recover:
-            self.replicas: List[LSMTree] = [
-                LSMTree.recover(config, path, merge_operator=merge_operator)
-                for path in replica_paths
-            ]
-        else:
-            self.replicas = [
-                LSMTree(config, wal_dir=path, merge_operator=merge_operator)
-                for path in replica_paths
-            ]
+        write_manifest(replica_dir, self._manifest(), replica=True)
+        self.replicas: List[LSMTree] = [
+            self._open_tree(path, _recover) for path in replica_paths
+        ]
         self._replicators = [
             ShardReplicator(
                 index,
@@ -410,47 +366,8 @@ class ReplicatedStore(ShardedStore):
             )
             for index, replica in enumerate(self.replicas)
         ]
-        for index, shard in enumerate(self.shards):
-            shard.set_wal_commit_hook(self._make_ship_hook(index))
-
-    def _write_replica_manifest(self, replica_dir: str) -> None:
-        """Mirror the routing manifest into the replica directory.
-
-        Same atomic tmp-write-then-rename as the primary's manifest (and
-        validated the same way when it already exists), so the replica
-        side is independently recoverable with identical key placement.
-        """
-        manifest = {
-            "num_shards": self.num_shards,
-            "routing": self.routing,
-            "boundaries": self.boundaries,
-        }
-        path = os.path.join(replica_dir, MANIFEST_NAME)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                try:
-                    existing = json.load(handle)
-                except json.JSONDecodeError as exc:
-                    raise CorruptionError(
-                        "replica shard manifest is not valid JSON",
-                        path=path,
-                        byte_offset=exc.pos,
-                    ) from exc
-            if existing != manifest:
-                raise ConfigError(
-                    f"{path} records a different sharding ({existing}); "
-                    "the replica directory belongs to another store"
-                )
-            return
-        blob = json.dumps(manifest)
-        temporary = path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-        fault_point(
-            "repl.manifest.tmp", path=temporary, tail_bytes=len(blob)
-        )
-        os.replace(temporary, path)
-        fault_point("repl.manifest.done", path=path)
+        for index in range(self.num_shards):
+            self.set_commit_tap(index, "replication", self._make_ship_hook(index))
 
     # -- shipping ------------------------------------------------------------
 
@@ -480,7 +397,7 @@ class ReplicatedStore(ShardedStore):
             if self._repl_state[index] != self.mode:
                 return
             self._repl_state[index] = REPLICA_LOST
-        self.shards[index].set_wal_commit_hook(None)
+        self.set_commit_tap(index, "replication", None)
         self._replicators[index].stop(drain=False)
 
     # -- failover ------------------------------------------------------------
@@ -490,7 +407,7 @@ class ReplicatedStore(ShardedStore):
 
         Detaches the shipping hook, drains queued groups into the
         standby, kills the old primary, swaps the replica in as
-        ``self.shards[index]``, and resets the shard's health to
+        ``self.trees[index]``, and resets the shard's health to
         healthy. Returns ``True`` if this call performed the promotion,
         ``False`` if the shard was already promoted. Raises
         :class:`~repro.errors.ReplicationError` when there is no replica
@@ -499,7 +416,7 @@ class ReplicatedStore(ShardedStore):
         Safe to call on a healthy shard for *planned* failover (e.g.
         rolling maintenance): writes keep succeeding throughout, because
         promotion swaps the serving tree between — never during — the
-        shard-routed operations, which re-read ``self.shards[index]``.
+        shard-routed operations, which look the tree up afresh.
         """
         self._check_open()
         if not 0 <= index < self.num_shards:
@@ -515,28 +432,25 @@ class ReplicatedStore(ShardedStore):
                 )
             scope = f"shard-{index:02d}"
             fault_point("repl.promote.start", scope=scope)
-            old = self.shards[index]
-            # Detach by direct assignment, not set_wal_commit_hook: the
+            old = self.trees[index]
+            # Detach by direct assignment, not set_commit_tap: the hook
             # setter takes the shard's write mutex, which a sync shipper
             # blocked on this very promotion may hold. An in-flight
             # writer can race one last ship; the stopped replicator
             # fails it and _replica_lost sees the promoted state.
+            self._commit_taps.pop(index, None)
             old._wal_commit_hook = None
             old._active_wal.on_commit = None
             replicator = self._replicators[index]
             replicator.stop(drain=True)
             fault_point("repl.promote.drain", scope=scope)
             old.kill()
-            replica = self.replicas[index]
-            self.shards[index] = replica
+            self.trees[index] = self.replicas[index]
             with self._repl_lock:
                 self._repl_state[index] = PROMOTED
             fault_point("repl.promote.done", scope=scope)
             with self._health_lock:
-                health = self._health[index]
-                health.state = HEALTHY
-                health.reason = None
-                health.since_s = time.monotonic()
+                self._health[index] = HealthState()
             self.promotions += 1
             return True
 
@@ -565,14 +479,14 @@ class ReplicatedStore(ShardedStore):
             self._try_failover(index)
         super()._check_available(index)
 
-    def _shard_op(self, index: int, op: Callable[[], _T]) -> _T:
+    def _shard_op(self, index: int, op: Callable[[LSMTree], _T]) -> _T:
         """Shard-routed op with failover retry.
 
         The shard may die *mid-operation* (quarantined on the way out);
         promoting and retrying once turns that into a served request —
         this is what lifts post-kill availability from N−1/N to ~1.
-        The op lambdas re-read ``self.shards[index]``, so the retry runs
-        against the freshly promoted replica.
+        The base store hands ``op`` the shard's tree looked up afresh, so
+        the retry runs against the freshly promoted replica.
         """
         try:
             return super()._shard_op(index, op)
@@ -585,13 +499,9 @@ class ReplicatedStore(ShardedStore):
         """Health rollup with failover: quarantined shards are promoted
         before the verdict, and a ``replication`` section is added."""
         self._check_open()
-        for index, shard in enumerate(self.shards):
-            if self._health[index].healthy:
-                error = shard.background_error()
-                if error is not None:
-                    self._quarantine(index, error)
-            if not self._health[index].healthy:
-                self._try_failover(index)
+        self._poll_health()
+        for index in self.quarantined_shards():
+            self._try_failover(index)
         payload = super().check_health()
         payload["replication"] = self.replication_summary()
         return payload
@@ -688,37 +598,11 @@ class ReplicatedStore(ShardedStore):
         see a prepare at all — groups ship only after commit, as plain
         committed groups.
         """
-        path = os.path.join(wal_dir, PRIMARY_DIR, MANIFEST_NAME)
-        if not os.path.exists(path):
-            raise ConfigError(
-                f"no {PRIMARY_DIR}/{MANIFEST_NAME} in {wal_dir}; not a "
-                "replicated WAL directory"
-            )
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise CorruptionError(
-                    "shard manifest is not valid JSON",
-                    path=path,
-                    byte_offset=exc.pos,
-                ) from exc
-        decisions = TxnDecisionLog.replay(
-            os.path.join(wal_dir, PRIMARY_DIR, TXN_LOG_NAME)
-        )
-        committed = frozenset(
-            txn for txn, verdict in decisions.items()
-            if verdict == TXN_COMMIT
-        )
-        return cls(
-            manifest["num_shards"],
+        return cls._reopen(
+            os.path.join(wal_dir, PRIMARY_DIR),
             config,
             mode=mode,
-            routing=manifest["routing"],
-            boundaries=manifest["boundaries"] or None,
             wal_dir=wal_dir,
             merge_operator=merge_operator,
             queue_capacity=queue_capacity,
-            _recover=True,
-            _committed_txns=committed,
         )

@@ -27,6 +27,7 @@ from repro import (
     TreeStats,
     range_boundaries,
 )
+from repro.cluster import ClusterMap, NodeInfo, NodeStore
 from repro.server import KVClient, KVServer
 from repro.workload.distributions import format_key
 
@@ -49,10 +50,19 @@ def make_store(kind: str) -> KVStore:
             mode="sync",
             wal_dir=tempfile.mkdtemp(prefix="repro-api-repl-"),
         )
+    if kind == "node":
+        # A single-node cluster: the node owns every shard.
+        nodes = [NodeInfo("solo", "127.0.0.1", 7379)]
+        return NodeStore(
+            "solo",
+            ClusterMap.even(4, nodes),
+            small_config(),
+            wal_dir=tempfile.mkdtemp(prefix="repro-api-node-"),
+        )
     return PartitionedStore(range_boundaries(400, 4), small_config())
 
 
-STORE_KINDS = ("tree", "sharded", "replicated", "partitioned")
+STORE_KINDS = ("tree", "sharded", "replicated", "node", "partitioned")
 
 
 @pytest.mark.parametrize("kind", STORE_KINDS)

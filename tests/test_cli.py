@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import repro
+from repro import LSMTree, ShardedStore
 from repro.cli import build_parser, main
 
 
@@ -244,3 +245,72 @@ class TestImportFootprint:
             env=env, capture_output=True, text=True, check=True,
         )
         assert result.stdout.strip() == "False"
+
+
+def _serve_session(wal_dir, flags, session):
+    """Run ``serve`` with ``flags`` on ``wal_dir`` as a subprocess, drive it
+    with the async ``session(client)``, then SIGINT it; returns the session
+    result."""
+    import asyncio
+    import signal
+
+    from repro.server import KVClient
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--wal-dir", str(wal_dir), *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert "listening on" in banner, banner
+        port = int(banner.split("listening on", 1)[1].split()[0].rsplit(":", 1)[1])
+
+        async def drive():
+            async with await KVClient.connect("127.0.0.1", port) as kv:
+                return await session(kv)
+
+        return asyncio.run(drive())
+    finally:
+        process.send_signal(signal.SIGINT)
+        process.wait(timeout=30)
+        process.stdout.close()
+
+
+class TestServeRestart:
+    """``serve`` restarted on the same ``--wal-dir`` replays its WAL."""
+
+    KEYS = [f"key{i:03d}" for i in range(100)]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shards", "1"], ["--shards", "4"],
+         ["--shards", "2", "--replication", "sync"]],
+        ids=["tree", "sharded", "replicated"],
+    )
+    def test_restart_recovers_acked_writes(self, tmp_path, flags):
+        async def write(kv):
+            for key in self.KEYS:
+                await kv.put(key, f"v-{key}")
+
+        async def read(kv):
+            return [await kv.get(key) for key in self.KEYS]
+
+        _serve_session(tmp_path, flags, write)
+        values = _serve_session(tmp_path, flags, read)
+        assert values == [f"v-{key}" for key in self.KEYS]
+
+    def test_contradicting_shard_count_is_refused(self, tmp_path):
+        sharded, single = tmp_path / "sharded", tmp_path / "single"
+        ShardedStore(4, wal_dir=str(sharded)).close()
+        single.mkdir()
+        tree = LSMTree(wal_dir=str(single))
+        tree.put("k", "v")
+        tree.close()
+        for wal_dir, shards in ((sharded, 2), (sharded, 1), (single, 4)):
+            with pytest.raises(SystemExit, match="contradicts"):
+                main(["serve", "--wal-dir", str(wal_dir), "--shards",
+                      str(shards)])

@@ -164,6 +164,71 @@ class TestRegistry:
         assert plan.fsyncs_failed == 1
 
 
+def _literal_fault_point_names():
+    """Every failpoint name written as a string literal in a
+    ``fault_point(...)`` call under ``src/repro`` (both branches of a
+    conditional name count), mapped to the files naming it."""
+    import ast
+
+    import repro
+
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    sites = {}
+    for directory, _dirs, files in os.walk(root):
+        for filename in files:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(directory, filename)
+            with open(path, "r", encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename=path)
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "fault_point"
+                    and node.args
+                ):
+                    continue
+                name = node.args[0]
+                options = (
+                    [name.body, name.orelse]
+                    if isinstance(name, ast.IfExp)
+                    else [name]
+                )
+                for option in options:
+                    if isinstance(option, ast.Constant) and isinstance(
+                        option.value, str
+                    ):
+                        sites.setdefault(option.value, set()).add(
+                            os.path.relpath(path, root)
+                        )
+    return sites
+
+
+class TestCatalogConsistency:
+    """The catalog and the code agree: no crossing is orphaned or lost
+    when a failpoint's code moves."""
+
+    def test_every_literal_site_is_catalogued(self):
+        sites = _literal_fault_point_names()
+        assert len(sites) >= 50  # the scan found the real call sites
+        unknown = {
+            name: sorted(files)
+            for name, files in sites.items()
+            if name not in FAILPOINTS
+        }
+        assert unknown == {}
+
+    def test_every_catalogued_point_has_a_literal_site(self):
+        # net.* points are fired by the proxy plan with computed names.
+        sites = _literal_fault_point_names()
+        orphaned = sorted(
+            name
+            for name in FAILPOINTS
+            if not name.startswith("net.") and name not in sites
+        )
+        assert orphaned == []
+
+
 # ---------------------------------------------------------------------------
 # Engine-level fault drills
 # ---------------------------------------------------------------------------
